@@ -384,23 +384,51 @@ func (s *Set) CheckAcyclic() error {
 // the supplied rng, or ascending by process when rng is nil (the canonical
 // expansion).
 func Seq(m *Meta, rng *rand.Rand) model.Execution {
+	if rng == nil {
+		return AppendSeq(nil, m)
+	}
 	if m.Type == TypeCrit {
 		return model.Execution{m.Crit}
 	}
 	writes := append(model.Execution(nil), m.Writes...)
 	reads := append(model.Execution(nil), m.Reads...)
-	if rng == nil {
-		sort.Slice(writes, func(a, b int) bool { return writes[a].Proc < writes[b].Proc })
-		sort.Slice(reads, func(a, b int) bool { return reads[a].Proc < reads[b].Proc })
-	} else {
-		rng.Shuffle(len(writes), func(a, b int) { writes[a], writes[b] = writes[b], writes[a] })
-		rng.Shuffle(len(reads), func(a, b int) { reads[a], reads[b] = reads[b], reads[a] })
-	}
+	rng.Shuffle(len(writes), func(a, b int) { writes[a], writes[b] = writes[b], writes[a] })
+	rng.Shuffle(len(reads), func(a, b int) { reads[a], reads[b] = reads[b], reads[a] })
 	out := writes
 	if m.Type == TypeWrite {
 		out = append(out, m.Win)
 	}
 	return append(out, reads...)
+}
+
+// AppendSeq appends the canonical expansion of m (Seq with a nil rng) to
+// dst and returns the extended slice. It sorts its own copies, so m.Writes
+// and m.Reads keep their insertion order, and it allocates nothing once dst
+// has room.
+func AppendSeq(dst model.Execution, m *Meta) model.Execution {
+	if m.Type == TypeCrit {
+		return append(dst, m.Crit)
+	}
+	dst = appendByProc(dst, m.Writes)
+	if m.Type == TypeWrite {
+		dst = append(dst, m.Win)
+	}
+	return appendByProc(dst, m.Reads)
+}
+
+// appendByProc appends steps to dst in ascending process order. A metastep
+// holds at most one step per process, so the order is total; an insertion
+// sort over the short appended tail avoids sort.Slice's allocations.
+func appendByProc(dst model.Execution, steps []model.Step) model.Execution {
+	base := len(dst)
+	dst = append(dst, steps...)
+	tail := dst[base:]
+	for i := 1; i < len(tail); i++ {
+		for k := i; k > 0 && tail[k].Proc < tail[k-1].Proc; k-- {
+			tail[k], tail[k-1] = tail[k-1], tail[k]
+		}
+	}
+	return dst
 }
 
 // TopoOrder returns a total order of the given subset (nil means all
@@ -473,7 +501,11 @@ func (s *Set) LinSubset(subset []bool, rng *rand.Rand) (model.Execution, error) 
 	}
 	var out model.Execution
 	for _, id := range order {
-		out = append(out, Seq(s.metas[id], rng)...)
+		if rng == nil {
+			out = AppendSeq(out, s.metas[id])
+		} else {
+			out = append(out, Seq(s.metas[id], rng)...)
+		}
 	}
 	return out, nil
 }
