@@ -189,7 +189,7 @@ func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if st := d.s.Store(); st != nil {
 		rep.Store = st.Stats()
-		rep.Entries = st.Len()
+		rep.Entries = rep.Store.Len
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(rep); err != nil {
@@ -210,8 +210,9 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Counter("experimentd_served_total", "Unit results answered.", d.served.Load())
 	e.Counter("experimentd_coalesced_total", "Requests served by joining an identical in-flight unit.", d.s.Coalesced())
 	if st := d.s.Store(); st != nil {
-		e.Gauge("experimentd_entries", "Result entries in the mounted store.", int64(st.Len()))
-		e.StoreStats("experimentd", st.Stats())
+		stats := st.Stats()
+		e.Gauge("experimentd_entries", "Result entries in the mounted store.", int64(stats.Len))
+		e.StoreStats("experimentd", stats)
 	}
 }
 

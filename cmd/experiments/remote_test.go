@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -237,5 +238,44 @@ func TestStoreFlagValidation(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("error paths wrote to the data stream: %q", buf.String())
+	}
+}
+
+// TestRemoteCaptureTraffic pins what one capture run costs a stored: the
+// traces ride the results' write batches (fewer mput requests than traces
+// stored, instead of one synchronous mput per captured unit), and the
+// end-of-run stats lines cost two /v1/stats requests on top of the
+// mount's ping — one for the store line, one for the replica line.
+func TestRemoteCaptureTraffic(t *testing.T) {
+	authoritative, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer authoritative.Close()
+	srv := remote.NewServer(authoritative, nil)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var buf bytes.Buffer
+	if err := run([]string{"-quick", "-only", "E2", "-json", "-store", ts.URL, "-capture"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	traces := authoritative.Stats().BlobStored
+	if mputs := srv.Requests().MPut; traces == 0 || mputs >= traces {
+		t.Fatalf("%d mput requests for %d traces stored: captures must ride the batched writes", mputs, traces)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `stored_requests_total{endpoint="stats"} 3`
+	if !strings.Contains(string(body), want+"\n") {
+		t.Fatalf("stats requests after one run: want %q in\n%s", want, body)
 	}
 }

@@ -57,7 +57,7 @@ func main() {
 	for worker := 1; worker <= 2; worker++ {
 		// remote.Mount with a comma-separated list builds the Router over
 		// one pinged client per instance — the CLIs' `-store URL1,URL2`.
-		st, cls, err := remote.Mount("", strings.Join(urls, ","))
+		st, cls, _, err := remote.Mount("", strings.Join(urls, ","))
 		if err != nil {
 			log.Fatal(err)
 		}

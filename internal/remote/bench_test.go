@@ -46,7 +46,7 @@ func BenchmarkRemoteMGet(b *testing.B) {
 
 // BenchmarkRemoteMPut is the write-side batch hot path: one gzipped
 // /v1/mput round trip carrying a whole fan-out's executed results — the
-// flush a WriteBuffer issues at the fan-out barrier. ns/op divided by
+// flush Store.Buffer issues at the fan-out barrier. ns/op divided by
 // keys/op is the per-result write cost a buffered prime pass pays, against
 // BenchmarkRemotePut's per-point-put baseline. The batch re-puts identical
 // entries, which the server's idempotent-rewrite path drops without

@@ -37,9 +37,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// endpoint — stats and metrics included — counts uniformly.
 	s.lat.Write(e)
 
-	e.Gauge("stored_entries", "Result entries in the durable tier.", int64(s.st.Len()))
+	st := s.st.Stats()
+	e.Gauge("stored_entries", "Result entries in the durable tier.", int64(st.Len))
 	e.Gauge("stored_blob_entries", "Captured traces in the durable tier.", int64(s.st.TraceLen()))
 	e.Gauge("stored_ring_epoch", "Installed placement ring epoch (0 when ring-less).", int64(s.epoch()))
 	e.Counter("stored_conflicts_total", "Overwrites that changed a key's bytes (version skew or a writer bug).", s.conflicts.Load())
-	e.StoreStats("stored", s.st.Stats())
+	e.StoreStats("stored", st)
 }

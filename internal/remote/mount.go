@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/store"
@@ -41,19 +40,13 @@ import (
 // Every replica is pinged once so an unreachable address, a wrong port, or
 // a non-stored endpoint fails fast and loudly here — once a run is
 // underway the degrade-to-miss discipline would hide a typoed URL behind a
-// silently cold (or silently half-cold) cache. The returned clients are
-// one per replica, in ring order (flag order when no ring is served);
-// empty when storeURL is empty.
-func Mount(cacheDir, storeURL string) (st *store.Store, cls []*Client, err error) {
-	st, cls, _, err = MountFleet(cacheDir, storeURL)
-	return st, cls, err
-}
-
-// MountFleet is Mount plus the placement ring the mount routes by: the
-// fleet's authoritative ring when any replica serves one, the epoch-0
-// flag ring for a multi-URL list without one, nil for local-only and
-// single-replica mounts.
-func MountFleet(cacheDir, storeURL string) (st *store.Store, cls []*Client, ring *store.Ring, err error) {
+// silently cold (or silently half-cold) cache. Besides the store it
+// returns the clients, one per replica in ring order (flag order when no
+// ring is served; empty when storeURL is empty), and the placement ring
+// the mount routes by: the fleet's authoritative ring when any replica
+// serves one, the epoch-0 flag ring for a multi-URL list without one, nil
+// for local-only and single-replica mounts.
+func Mount(cacheDir, storeURL string) (st *store.Store, cls []*Client, ring *store.Ring, err error) {
 	var be store.Backend
 	if urls := splitList(storeURL); storeURL != "" && len(urls) == 0 {
 		// "," or whitespace: the caller asked for a fleet store and named no
@@ -171,102 +164,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// CLIStore is the mounted result store of one CLI invocation plus its
-// shard assignment — everything the -cache/-store/-shard/-merge flag
-// quartet resolves to, validated in one place so the binaries cannot
-// drift.
-type CLIStore struct {
-	Store          *store.Store // nil when no store flags were given
-	Clients        []*Client    // one per fleet replica, ring order; empty when -store was not given
-	Ring           *store.Ring  // the placement ring routed by; nil for local-only and single-replica mounts
-	ShardI, ShardM int          // 0,0 when -shard was not given
-}
-
-// Priming reports whether this invocation is a prime-only shard pass.
-func (cs *CLIStore) Priming() bool { return cs.ShardM > 0 }
-
-// Close closes the store, if any.
-func (cs *CLIStore) Close() error {
-	if cs.Store == nil {
-		return nil
-	}
-	return cs.Store.Close()
-}
-
-// MountFlags assembles and validates a CLI's store flags: Mount for
-// -cache/-store, then -merge (fold the listed shard directories in before
-// running, mutually exclusive with -shard) and -shard i/m. diag receives
-// the merge report; prog prefixes it ("experiments: merged …").
-func MountFlags(diag io.Writer, prog, cacheDir, storeURL, shardArg, mergeArg string) (*CLIStore, error) {
-	st, cls, ring, err := MountFleet(cacheDir, storeURL)
-	if err != nil {
-		return nil, err
-	}
-	cs := &CLIStore{Store: st, Clients: cls, Ring: ring}
-	if mergeArg != "" {
-		if st == nil {
-			cs.Close() //repro:degrade error-path teardown; the flag error below is the one to surface
-			return nil, fmt.Errorf("-merge requires -cache or -store")
-		}
-		if shardArg != "" {
-			cs.Close() //repro:degrade error-path teardown; the flag error below is the one to surface
-			return nil, fmt.Errorf("-merge and -shard are mutually exclusive (merge replays the full run)")
-		}
-		dirs := splitList(mergeArg)
-		added, err := st.Merge(dirs...)
-		if err != nil {
-			cs.Close() //repro:degrade error-path teardown; the flag error below is the one to surface
-			return nil, err
-		}
-		fmt.Fprintf(diag, "%s: merged %d entries from %d store(s)\n", prog, added, len(dirs)) //repro:degrade diagnostic line on stderr
-	}
-	if shardArg != "" {
-		if st == nil {
-			cs.Close() //repro:degrade error-path teardown; the flag error below is the one to surface
-			return nil, fmt.Errorf("-shard requires -cache or -store")
-		}
-		if cs.ShardI, cs.ShardM, err = store.ParseShard(shardArg); err != nil {
-			cs.Close() //repro:degrade error-path teardown; the flag error below is the one to surface
-			return nil, err
-		}
-	}
-	return cs, nil
-}
-
-// PrintStats writes the end-of-run store diagnostics every CLI prints to
-// stderr: the cache traffic line (CI greps `misses=0` off it) with the
-// placement ring's epoch when a fleet is mounted, and one line per
-// replica with its key count — a sick replica shows up as its own
-// netErrors count instead of blurring into a fleet-wide total, and
-// placement skew is visible at a glance from the keys= columns. When any
-// replica echoed a newer ring epoch than the one this process mounted,
-// a warning names the skew: the run routed by a stale placement (safe —
-// failover reads cover moved keys — but a remount re-places it).
-func (cs *CLIStore) PrintStats(diag io.Writer, prog string) {
-	if cs.Store != nil {
-		ringSuffix := ""
-		if cs.Ring != nil {
-			ringSuffix = fmt.Sprintf(" ring=%d", cs.Ring.Epoch)
-		}
-		fmt.Fprintf(diag, "%s: cache %s (%d entries)%s\n", prog, cs.Store.Stats(), cs.Store.Len(), ringSuffix) //repro:degrade diagnostic line on stderr
-	}
-	var newest uint64
-	for i, cl := range cs.Clients {
-		label := "remote"
-		if len(cs.Clients) > 1 {
-			label = fmt.Sprintf("remote[%d %s]", i, cl.URL())
-		}
-		s := cl.Traffic()
-		fmt.Fprintf(diag, "%s: %s keys=%d gets=%d puts=%d retried=%d netErrors=%d\n", //repro:degrade diagnostic line on stderr
-			prog, label, cl.Stats().Len, s.Gets, s.Puts, s.Retried, s.NetErrors)
-		if e := cl.SeenEpoch(); e > newest {
-			newest = e
-		}
-	}
-	if cs.Ring != nil && newest > cs.Ring.Epoch {
-		fmt.Fprintf(diag, "%s: warning: fleet serves ring epoch %d but this run mounted epoch %d — placement is stale, remount to re-place\n", //repro:degrade diagnostic line on stderr
-			prog, newest, cs.Ring.Epoch)
-	}
 }

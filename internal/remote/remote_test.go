@@ -119,7 +119,7 @@ func TestMergePushIdempotent(t *testing.T) {
 	logPath := filepath.Join(nearDir, "results.ndjson")
 	var sizeAfterFirst int64
 	for round := 0; round < 2; round++ {
-		st, _, err := remote.Mount(nearDir, ts.URL)
+		st, _, _, err := remote.Mount(nearDir, ts.URL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,13 +396,13 @@ func TestCompactEndpoint(t *testing.T) {
 func TestMountTiers(t *testing.T) {
 	ts, srv, _ := newServer(t)
 
-	st, cl, err := remote.Mount("", "")
+	st, cl, _, err := remote.Mount("", "")
 	if err != nil || st != nil || cl != nil {
 		t.Fatalf("Mount of nothing: %v %v %v", st, cl, err)
 	}
 
 	// Remote only: writes land on the server.
-	st, cl, err = remote.Mount("", ts.URL)
+	st, cl, _, err = remote.Mount("", ts.URL)
 	if err != nil || st == nil || cl == nil {
 		t.Fatalf("Mount remote: %v", err)
 	}
@@ -413,7 +413,7 @@ func TestMountTiers(t *testing.T) {
 	// Local front over remote: the first Get pulls the key down into the
 	// local tier; after that the fleet store is not consulted for it.
 	dir := t.TempDir()
-	st, _, err = remote.Mount(dir, ts.URL)
+	st, _, _, err = remote.Mount(dir, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestMountTiers(t *testing.T) {
 	}
 	st.Close()
 	getsBefore := srv.Requests().MGet
-	st, _, err = remote.Mount(dir, ts.URL)
+	st, _, _, err = remote.Mount(dir, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,12 +435,12 @@ func TestMountTiers(t *testing.T) {
 	}
 
 	// Fail fast on an unreachable or impostor store.
-	if _, _, err := remote.Mount("", "http://127.0.0.1:1"); err == nil {
+	if _, _, _, err := remote.Mount("", "http://127.0.0.1:1"); err == nil {
 		t.Fatal("unreachable store URL accepted")
 	}
 	impostor := httptest.NewServer(http.NotFoundHandler())
 	defer impostor.Close()
-	if _, _, err := remote.Mount("", impostor.URL); err == nil {
+	if _, _, _, err := remote.Mount("", impostor.URL); err == nil {
 		t.Fatal("impostor store URL accepted")
 	}
 }
@@ -454,7 +454,7 @@ func TestMountRouterSpreadsKeySpace(t *testing.T) {
 	ts2, srv2, auth2 := newServer(t)
 	list := ts1.URL + "," + ts2.URL
 
-	st, cls, err := remote.Mount("", list)
+	st, cls, _, err := remote.Mount("", list)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestMountRouterSpreadsKeySpace(t *testing.T) {
 
 	// Prefetch splits into one concurrent mget per replica and the per-key
 	// reads that follow are all served warm.
-	fresh, _, err := remote.Mount("", list)
+	fresh, _, _, err := remote.Mount("", list)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,11 +508,11 @@ func TestMountRouterSpreadsKeySpace(t *testing.T) {
 	// A dead member anywhere in the list fails the mount, naming it — and a
 	// list that names no member at all (unset env vars leaving just ",") is
 	// a loud error, not a silently storeless run.
-	if _, _, err := remote.Mount("", ts1.URL+",http://127.0.0.1:1"); err == nil {
+	if _, _, _, err := remote.Mount("", ts1.URL+",http://127.0.0.1:1"); err == nil {
 		t.Fatal("replica list with a dead member accepted")
 	}
 	for _, empty := range []string{",", " , ", ",,"} {
-		if _, _, err := remote.Mount("", empty); err == nil {
+		if _, _, _, err := remote.Mount("", empty); err == nil {
 			t.Fatalf("empty URL list %q accepted", empty)
 		}
 	}

@@ -105,7 +105,7 @@ func TestFleetScaleOutRebalance(t *testing.T) {
 	}
 
 	// Warm the 2-replica fleet, mounting it by naming a single member.
-	st, cls, mounted, err := remote.MountFleet("", tsA.URL)
+	st, cls, mounted, err := remote.Mount("", tsA.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFleetScaleOutRebalance(t *testing.T) {
 	// Replay through a fresh mount (again naming one member): epoch 2 is
 	// discovered, all three replicas are dialed, and the whole warm set is
 	// served without a single miss or write.
-	fresh, cls3, m2, err := remote.MountFleet("", tsB.URL)
+	fresh, cls3, m2, err := remote.Mount("", tsB.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestMidMigrationReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, _, _, err := remote.MountFleet("", tsA.URL)
+	st, _, _, err := remote.Mount("", tsA.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestMidMigrationReads(t *testing.T) {
 		t.Fatal("test premise broken: keys on c before any drain")
 	}
 
-	mid, _, m2, err := remote.MountFleet("", tsC.URL)
+	mid, _, m2, err := remote.Mount("", tsC.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestMergeRoutesToOwners(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, _, _, err := remote.MountFleet("", tsA.URL)
+	st, _, _, err := remote.Mount("", tsA.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestMountRingDiscoveryEdges(t *testing.T) {
 	// A stranger (live, protocol-speaking, but not a ring member) in the
 	// flag list is refused by name.
 	tsX, _, _ := newServer(t)
-	if _, _, _, err := remote.MountFleet("", tsA.URL+","+tsX.URL); err == nil {
+	if _, _, _, err := remote.Mount("", tsA.URL+","+tsX.URL); err == nil {
 		t.Fatal("mount accepted a flag URL outside the fleet's ring")
 	}
 
@@ -355,7 +355,7 @@ func TestMountRingDiscoveryEdges(t *testing.T) {
 	if err := newClient(t, tsA2.URL).InstallRing(ring2); err != nil {
 		t.Fatal(err)
 	}
-	st, cls, m, err := remote.MountFleet("", tsA2.URL+","+sick.URL)
+	st, cls, m, err := remote.Mount("", tsA2.URL+","+sick.URL)
 	if err != nil {
 		t.Fatalf("half-alive replica failed the mount: %v", err)
 	}

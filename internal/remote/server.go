@@ -336,7 +336,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.st.Stats()
 	reply(w, http.StatusOK, StatsReply{
 		Protocol:  ProtocolVersion,
-		Len:       s.st.Len(),
+		Len:       st.Len,
 		Blobs:     s.st.TraceLen(),
 		Epoch:     s.epoch(),
 		Conflicts: s.conflicts.Load(),

@@ -1,9 +1,10 @@
 package runner
 
 import (
+	"encoding/json"
+
 	"repro/internal/cost"
 	"repro/internal/machine"
-	"repro/internal/model"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -27,9 +28,9 @@ const CacheVersion = "fanl06-sim-v3"
 //     submission order the folds see byte-identical values whether each
 //     result came from cache or execution, at any worker count; both
 //     directions travel batched — reads in one prefetch batch up front,
-//     executed results in buffered batches flushed at the fan-out barrier —
-//     so against a remote store a fan-out costs round trips per batch, not
-//     per unit;
+//     executed results and their traces through Store.Buffer, flushed at
+//     the fan-out barrier — so against a remote store a fan-out costs
+//     round trips per batch, not per unit;
 //   - with a shard assignment (WithShard) the engine becomes a prime pass:
 //     statically enumerable fan-outs execute only this shard's missing keys
 //     and skip their folds entirely, so m processes can split one sweep's
@@ -58,29 +59,16 @@ func NewCached(e *Engine, st *store.Store) *CachedEngine {
 // of m (0-based): the engine owns member i of the uniform m-member ring, so
 // every process derives the identical partition from m alone. It requires a
 // store — a shard pass without somewhere to write results would do nothing
-// — and returns the engine unchanged when m <= 0 or no store is attached.
+// — and returns the engine unchanged when m <= 0, i is out of range or no
+// store is attached.
 func (c *CachedEngine) WithShard(i, m int) *CachedEngine {
-	if m <= 0 || c.cache == nil {
-		return c
-	}
-	return c.WithShardRing(store.UniformRing(m), i)
-}
-
-// WithShardRing returns a copy of the engine acting as a prime pass owning
-// member self of the given ring — the general form of WithShard, for
-// fleets whose partition is a weighted named ring rather than a uniform
-// count. A nil ring or out-of-range self returns the engine unchanged.
-func (c *CachedEngine) WithShardRing(ring *store.Ring, self int) *CachedEngine {
-	if ring == nil || self < 0 || self >= len(ring.Members) || c.cache == nil {
+	if m <= 0 || i < 0 || i >= m || c.cache == nil {
 		return c
 	}
 	cp := *c
-	cp.shard, cp.self = ring, self
+	cp.shard, cp.self = store.UniformRing(m), i
 	return &cp
 }
-
-// Cache returns the attached store (nil when uncached).
-func (c *CachedEngine) Cache() *store.Store { return c.cache }
 
 // WithCapture returns a copy of the engine that persists every executed
 // unit's step log — the full model.Execution plus the machine's per-step
@@ -102,47 +90,56 @@ func (c *CachedEngine) WithCapture(on bool) *CachedEngine {
 // Capturing reports whether executed step logs are being persisted.
 func (c *CachedEngine) Capturing() bool { return c != nil && c.capture }
 
-// captureTrace encodes one executed unit's step log and stores it under
-// the unit's cache key. Runs on the executing worker, strictly after the
-// simulation finished — the hot loop never sees it. Failures follow the
-// store discipline: an unencodable or unstorable trace costs a future
-// replay one re-simulation, never the run an error.
-func (c *CachedEngine) captureTrace(k, algo string, n, horizon int, exec model.Execution, changed []bool) {
-	if k == "" || len(exec) == 0 {
-		return
+// unitEntries returns the store entries one successfully executed unit
+// writes under key k: its trace first when capture is on (encoded on the
+// executing worker, strictly after the simulation finished — the hot loop
+// never sees it), then its JSON result payload. A keyless unit writes
+// nothing. Failures follow the store discipline: an unencodable trace or
+// payload is dropped, costing a future replay or run one re-simulation,
+// never this run an error.
+func (c *CachedEngine) unitEntries(k string, payload any, rec trace.Record) []store.Entry {
+	if k == "" {
+		return nil
 	}
-	blob, err := trace.EncodeRecord(trace.Record{Algo: algo, N: n, Horizon: horizon, Exec: exec, Changed: changed})
-	if err != nil {
-		return //repro:degrade an unencodable trace is dropped; the result itself is unaffected
+	var entries []store.Entry
+	if c.capture && len(rec.Exec) > 0 {
+		if blob, err := trace.EncodeRecord(rec); err == nil {
+			entries = append(entries, store.TraceEntry(k, blob))
+		}
 	}
-	c.cache.PutTrace(k, blob)
+	return appendJSON(entries, k, payload)
 }
 
-// executeJob runs one job, capturing its step log when capture is on.
-func (c *CachedEngine) executeJob(k string, j Job) Result {
-	if !c.capture {
-		return Execute(j)
+// appendJSON appends v, JSON-encoded, as the entry under k; an unencodable
+// v is dropped (the unit simply stays uncached).
+func appendJSON(entries []store.Entry, k string, v any) []store.Entry {
+	if b, err := json.Marshal(v); err == nil {
+		entries = append(entries, store.Entry{Key: k, Val: b})
 	}
+	return entries
+}
+
+// executeJob runs one job and returns the entries it writes under k.
+func (c *CachedEngine) executeJob(k string, j Job) (Result, []store.Entry) {
 	r, exec, changed := ExecuteTraced(j)
-	if r.Err == nil {
-		c.captureTrace(k, j.Algo, j.N, j.Horizon, exec, changed)
+	if r.Err != nil {
+		return r, nil
 	}
-	return r
+	return r, c.unitEntries(k, jobPayload{Report: r.Report},
+		trace.Record{Algo: j.Algo, N: j.N, Horizon: j.Horizon, Exec: exec, Changed: changed})
 }
 
-// executeSchedule runs one candidate, capturing its step log when capture
-// is on. Discarded candidates (truncated, stalled) capture too: their
+// executeSchedule runs one candidate and returns the entries it writes
+// under k. Discarded candidates (truncated, stalled) capture too: their
 // executions replay like any other, and a search post-mortem needs exactly
 // the candidates that went wrong.
-func (c *CachedEngine) executeSchedule(k string, j ScheduleJob) ScheduleResult {
-	if !c.capture {
-		return ExecuteSchedule(j)
-	}
+func (c *CachedEngine) executeSchedule(k string, j ScheduleJob) (ScheduleResult, []store.Entry) {
 	r, exec, changed := ExecuteScheduleTraced(j)
-	if r.Err == nil {
-		c.captureTrace(k, j.Algo, j.N, j.Horizon, exec, changed)
+	if r.Err != nil {
+		return r, nil
 	}
-	return r
+	return r, c.unitEntries(k, schedulePayload{Report: r.Report, Canonical: r.Canonical, Decisions: r.Decisions},
+		trace.Record{Algo: j.Algo, N: j.N, Horizon: j.Horizon, Exec: exec, Changed: changed})
 }
 
 // Priming reports whether the engine is a prime-only shard pass, in which
@@ -155,25 +152,8 @@ func (c *CachedEngine) Priming() bool { return c != nil && c.shard != nil }
 // prior results) use it to shard at a coarser granule — skip the whole
 // search cell when priming and another shard owns its key — since their
 // inner fan-outs cannot be partitioned.
-func (c *CachedEngine) Owns(key string) bool { return c.inShard(key) }
-
-// inShard reports whether this engine's prime pass owns the key.
-func (c *CachedEngine) inShard(key string) bool {
+func (c *CachedEngine) Owns(key string) bool {
 	return c.shard == nil || c.shard.Owner(key) == c.self
-}
-
-// fanKeys computes a fan-out's cache keys once, indexed by unit, so the
-// batch calls and the workers share them instead of hashing every unit
-// twice. The non-priming paths hand them to Store.Prefetch, which warms
-// the LRU tier before the workers spread out — one batch against a remote
-// store instead of one request per job, and purely an optimization: hits,
-// misses, and folded bytes are identical with or without it.
-func fanKeys(n int, key func(i int) string) []string {
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = key(i)
-	}
-	return keys
 }
 
 // probe batch-resolves which of a prime pass's in-shard keys are already
@@ -183,23 +163,63 @@ func fanKeys(n int, key func(i int) string) []string {
 func (c *CachedEngine) probe(keys []string) map[string]bool {
 	ask := make([]string, 0, len(keys))
 	for _, k := range keys {
-		if k != "" && c.inShard(k) {
+		if k != "" && c.Owns(k) {
 			ask = append(ask, k)
 		}
 	}
 	return c.cache.Present(ask)
 }
 
-// sink returns the write path for one fan-out and its flush barrier:
-// executed results are buffered and pushed as one batch per fan-out (the
-// write-side mirror of Store.Prefetch), and the flush runs after the fan-out's
-// last unit so every write is durable — and visible to other processes —
-// before the engine returns. Folds are unaffected: they consume the
-// executed values, and the buffer serves in-process reads from the LRU
-// tier immediately.
-func (c *CachedEngine) sink() (store.Putter, func()) {
-	wb := store.NewWriteBuffer(c.cache, 0)
-	return wb, wb.Flush
+// cachedFanOut is the one cached fan-out: key every unit once, resolve the
+// lookups in one batch (Store.Prefetch — purely an optimization; a prime
+// pass probes presence instead), get-or-execute each unit on the worker
+// pool, buffer what executed units write, fold in submission order and
+// flush at the barrier. key(i) is unit i's content address ("" =
+// uncacheable: always executed in normal mode, never by a prime pass); hit
+// decodes a stored value; exec runs unit i and returns its value, the
+// entries it writes under k (none on failure) and an error that aborts the
+// fan-out. Without a store this is the bare MapOrdered. When shardable and
+// the engine is a prime pass, only this shard's missing keys execute and
+// the fold is skipped. Buffered results are resident at once, so a unit
+// repeated within one fan-out hits.
+func cachedFanOut[T any](c *CachedEngine, n int, shardable bool, key func(i int) string,
+	hit func(i int, k string) (T, bool), exec func(i int, k string) (T, []store.Entry, error),
+	fold func(i int, v T) error) error {
+	if c.cache == nil {
+		return MapOrdered(c.Engine, n, func(i int) (T, error) {
+			v, _, err := exec(i, "")
+			return v, err
+		}, fold)
+	}
+	defer c.cache.Flush()
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	if shardable && c.Priming() {
+		present := c.probe(keys)
+		return c.Each(n, func(i int) error {
+			k := keys[i]
+			if k == "" || !c.Owns(k) || present[k] {
+				return nil
+			}
+			_, entries, err := exec(i, k)
+			c.cache.Buffer(entries...)
+			return err
+		})
+	}
+	c.cache.Prefetch(keys)
+	return MapOrdered(c.Engine, n, func(i int) (T, error) {
+		k := keys[i]
+		if k != "" {
+			if v, ok := hit(i, k); ok {
+				return v, nil
+			}
+		}
+		v, entries, err := exec(i, k)
+		c.cache.Buffer(entries...)
+		return v, err
+	}, fold)
 }
 
 // CachedMap is MapOrdered with a content-addressed memo in front: fn(i) is
@@ -215,51 +235,25 @@ func (c *CachedEngine) sink() (store.Putter, func()) {
 // store, and only this shard's missing keys are executed. Errors from fn
 // still abort — a prime pass surfaces real simulation failures.
 func CachedMap[T any](ce *CachedEngine, n int, key func(i int) string, fn func(i int) (T, error), fold func(i int, v T) error) error {
-	if ce.cache == nil {
-		return MapOrdered(ce.Engine, n, fn, fold)
-	}
-	sink, flush := ce.sink()
-	defer flush()
-	keys := fanKeys(n, key)
-	if ce.Priming() {
-		present := ce.probe(keys)
-		return ce.Each(n, func(i int) error {
-			k := keys[i]
-			if k == "" || !ce.inShard(k) || present[k] {
-				return nil
-			}
+	return cachedFanOut(ce, n, true, key,
+		func(_ int, k string) (T, bool) { return store.GetJSON[T](ce.cache, k) },
+		func(i int, k string) (T, []store.Entry, error) {
 			v, err := fn(i)
-			if err != nil {
-				return err
+			if err != nil || k == "" {
+				return v, nil, err
 			}
-			store.PutJSON(sink, k, v)
-			return nil
-		})
-	}
-	ce.cache.Prefetch(keys)
-	return MapOrdered(ce.Engine, n, func(i int) (T, error) {
-		k := keys[i]
-		if k != "" {
-			if v, ok := store.GetJSON[T](ce.cache, k); ok {
-				return v, nil
-			}
-		}
-		v, err := fn(i)
-		if err == nil && k != "" {
-			store.PutJSON(sink, k, v)
-		}
-		return v, err
-	}, fold)
+			return v, appendJSON(nil, k, v), nil
+		}, fold)
 }
 
 // RunOne executes a single job through the store: a cache hit costs no
 // simulation, a miss executes on the calling goroutine (no worker pool —
-// request-scoped callers bring their own concurrency) and writes straight
-// back so the result is immediately visible to every other goroutine
-// sharing the store. Unlike the fan-out paths there is no write buffering:
-// one unit is one put. Safe for concurrent use — the engine's fields are
-// immutable after construction and the store is goroutine-safe. Errors are
-// returned, never cached, exactly like the batch paths.
+// request-scoped callers bring their own concurrency) and writes its
+// result and trace straight back in one batch, so the result is durable
+// and visible to every other goroutine sharing the store before RunOne
+// returns. Safe for concurrent use — the engine's fields are immutable
+// after construction and the store is goroutine-safe. Errors are returned,
+// never cached, exactly like the batch paths.
 func (c *CachedEngine) RunOne(j Job) (cost.Report, error) {
 	if c.cache == nil {
 		r := Execute(j)
@@ -269,11 +263,11 @@ func (c *CachedEngine) RunOne(j Job) (cost.Report, error) {
 	if p, ok := store.GetJSON[jobPayload](c.cache, k); ok {
 		return p.Report, nil
 	}
-	r := c.executeJob(k, j)
+	r, entries := c.executeJob(k, j)
 	if r.Err != nil {
 		return cost.Report{}, r.Err
 	}
-	store.PutJSON(c.cache, k, jobPayload{Report: r.Report})
+	c.cache.PutBatch(entries)
 	return r.Report, nil
 }
 
@@ -305,45 +299,25 @@ type jobPayload struct {
 
 // Run is Engine.Run behind the store: each job's Report is served from
 // cache when present and written back after execution otherwise. Folds see
-// exactly the Results a bare engine would deliver. In prime mode only this
-// shard's missing keys execute and the fold is skipped.
+// exactly the Results a bare engine would deliver, failed jobs included
+// (Result.Err in-band). In prime mode only this shard's missing keys
+// execute, the fold is skipped, and a failed job aborts the pass.
 func (c *CachedEngine) Run(jobs []Job, fold func(Result) error) error {
-	if c.cache == nil {
-		return c.Engine.Run(jobs, fold)
-	}
-	keys := fanKeys(len(jobs), func(i int) string { return jobs[i].CacheKey() })
-	sink, flush := c.sink()
-	defer flush()
-	if c.Priming() {
-		present := c.probe(keys)
-		return c.Each(len(jobs), func(i int) error {
-			k := keys[i]
-			if k == "" || !c.inShard(k) || present[k] {
-				return nil
+	return cachedFanOut(c, len(jobs), true,
+		func(i int) string { return jobs[i].CacheKey() },
+		func(i int, k string) (Result, bool) {
+			p, ok := store.GetJSON[jobPayload](c.cache, k)
+			return Result{Index: i, Job: jobs[i], Report: p.Report}, ok
+		},
+		func(i int, k string) (Result, []store.Entry, error) {
+			r, entries := c.executeJob(k, jobs[i])
+			r.Index = i
+			if c.Priming() {
+				return r, entries, r.Err
 			}
-			r := c.executeJob(k, jobs[i])
-			if r.Err != nil {
-				return r.Err
-			}
-			store.PutJSON(sink, k, jobPayload{Report: r.Report})
-			return nil
-		})
-	}
-	c.cache.Prefetch(keys)
-	return MapOrdered(c.Engine, len(jobs), func(i int) (Result, error) {
-		k := keys[i]
-		if p, ok := store.GetJSON[jobPayload](c.cache, k); ok {
-			return Result{Index: i, Job: jobs[i], Report: p.Report}, nil
-		}
-		r := c.executeJob(k, jobs[i])
-		r.Index = i
-		if r.Err == nil {
-			store.PutJSON(sink, k, jobPayload{Report: r.Report})
-		}
-		return r, nil
-	}, func(i int, r Result) error {
-		return fold(r)
-	})
+			return r, entries, nil
+		},
+		func(_ int, r Result) error { return fold(r) })
 }
 
 // scheduleKeyParts is the canonical content of a ScheduleJob key.
@@ -383,28 +357,19 @@ type schedulePayload struct {
 // — every shard caches identical entries for the same search, and the folds
 // run because the search itself needs them.
 func (c *CachedEngine) RunSchedules(jobs []ScheduleJob, fold func(ScheduleResult) error) error {
-	if c.cache == nil {
-		return c.Engine.RunSchedules(jobs, fold)
-	}
-	keys := fanKeys(len(jobs), func(i int) string { return jobs[i].CacheKey() })
-	sink, flush := c.sink()
-	defer flush()
-	c.cache.Prefetch(keys)
-	return MapOrdered(c.Engine, len(jobs), func(i int) (ScheduleResult, error) {
-		k := keys[i]
-		if p, ok := store.GetJSON[schedulePayload](c.cache, k); ok {
+	return cachedFanOut(c, len(jobs), false,
+		func(i int) string { return jobs[i].CacheKey() },
+		func(i int, k string) (ScheduleResult, bool) {
+			p, ok := store.GetJSON[schedulePayload](c.cache, k)
 			return ScheduleResult{
 				Index: i, Job: jobs[i],
 				Report: p.Report, Canonical: p.Canonical, Decisions: p.Decisions,
-			}, nil
-		}
-		r := c.executeSchedule(k, jobs[i])
-		r.Index = i
-		if r.Err == nil {
-			store.PutJSON(sink, k, schedulePayload{Report: r.Report, Canonical: r.Canonical, Decisions: r.Decisions})
-		}
-		return r, nil
-	}, func(i int, r ScheduleResult) error {
-		return fold(r)
-	})
+			}, ok
+		},
+		func(i int, k string) (ScheduleResult, []store.Entry, error) {
+			r, entries := c.executeSchedule(k, jobs[i])
+			r.Index = i
+			return r, entries, nil
+		},
+		func(_ int, r ScheduleResult) error { return fold(r) })
 }

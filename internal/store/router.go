@@ -72,9 +72,6 @@ func NewRingRouter(ring *Ring, replicas ...Backend) *Router {
 // Ring returns the placement ring the router routes by.
 func (r *Router) Ring() *Ring { return r.ring }
 
-// Replicas returns the number of backends behind the router.
-func (r *Router) Replicas() int { return len(r.replicas) }
-
 // Failures returns a snapshot of per-replica degraded operations: point or
 // batch calls that failed and fell back to miss/memory-only. A nonzero
 // entry names the sick instance.

@@ -370,16 +370,15 @@ func TestTieredOverRouterCountsLossesOnce(t *testing.T) {
 	defer st.Close()
 
 	const n = 30
-	wb := store.NewWriteBuffer(st, 0)
 	downCount := 0
 	for i := 0; i < n; i++ {
 		k := store.Key("v1", i)
 		if router.Ring().Owner(k) == 1 {
 			downCount++
 		}
-		wb.Put(k, []byte(fmt.Sprintf(`{"i":%d}`, i)))
+		st.Buffer(store.Entry{Key: k, Val: []byte(fmt.Sprintf(`{"i":%d}`, i))})
 	}
-	wb.Flush()
+	st.Flush()
 	s := st.Stats()
 	if s.PutErrors != 0 {
 		t.Fatalf("putErrors=%d, want 0: the near tier landed every entry", s.PutErrors)

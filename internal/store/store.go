@@ -112,6 +112,9 @@ type Stats struct {
 	// Trace traffic: traces stored and fetched, and their stored (gzipped)
 	// bytes moved in both directions.
 	BlobStored, BlobFetched, BlobBytes int64
+	// Len is Store.Len, read by the same backend call (one fleet round
+	// trip). Replies carry it in their own len/entries field.
+	Len int `json:"-"`
 }
 
 // String renders the stats on one line (the form the CLIs print to stderr
@@ -135,6 +138,14 @@ type Store struct {
 	//repro:guardedby mu
 	lru *lruCache
 	be  Backend // nil for a memory-only store
+
+	// flushMu serializes flushes: a batch leaves pending only with flushMu
+	// held, so once Flush holds it no earlier-buffered entry is still in
+	// flight elsewhere.
+	flushMu sync.Mutex
+	pendMu  sync.Mutex
+	//repro:guardedby pendMu
+	pending []Entry // buffered durable writes (see Buffer)
 
 	hits, misses, puts, corrupt, putErrors, superseded atomic.Int64
 	blobStored, blobFetched, blobBytes                 atomic.Int64
@@ -256,15 +267,15 @@ func (s *Store) Has(key string) bool { return s.Present([]string{key})[key] }
 // stay small however large the fan-out is.
 const batchChunk = 512
 
-// chunks calls fn on successive slices of at most batchChunk keys, stopping
-// at the first false.
-func chunks(keys []string, fn func(chunk []string) bool) {
-	for len(keys) > 0 {
-		n := min(len(keys), batchChunk)
-		if !fn(keys[:n]) {
+// chunks calls fn on successive slices of at most batchChunk items,
+// stopping at the first false.
+func chunks[T any](items []T, fn func(chunk []T) bool) {
+	for len(items) > 0 {
+		n := min(len(items), batchChunk)
+		if !fn(items[:n]) {
 			return
 		}
-		keys = keys[n:]
+		items = items[n:]
 	}
 }
 
@@ -329,67 +340,98 @@ func (s *Store) Put(key string, val []byte) {
 	}
 }
 
-// PutBatch is Put for many entries in one backend round trip. Results
-// become LRU-resident and count as puts at once; traces count as stored
-// once the batch landed whole.
+// PutBatch is Put for many entries: they reach the backend, in
+// batchChunk-sized batches, before it returns (entries queued by Buffer
+// are left to their flush). Results become LRU-resident and count as puts
+// at once; traces count as stored once their batch landed whole.
 func (s *Store) PutBatch(entries []Entry) {
 	if s == nil {
 		return
 	}
-	var traces, traceBytes int64
+	s.admit(entries)
+	s.write(entries)
+}
+
+// Buffer is PutBatch with the backend write deferred, the write-side
+// mirror of Prefetch: results are LRU-resident and counted at once, and
+// the entries queue until batchChunk of them are pending or Flush or Close
+// runs — so against a remote backend a fan-out costs one mput per
+// batchChunk entries, not one per unit. A failed write degrades like a
+// failed Put: counted in Stats.PutErrors, the values still served from
+// the LRU tier.
+func (s *Store) Buffer(entries ...Entry) {
+	if s == nil || len(entries) == 0 {
+		return
+	}
+	s.admit(entries)
+	if s.be == nil {
+		return
+	}
+	s.pendMu.Lock()
+	s.pending = append(s.pending, entries...)
+	full := len(s.pending) >= batchChunk
+	s.pendMu.Unlock()
+	if full {
+		s.Flush()
+	}
+}
+
+// Flush returns once every entry buffered before the call has been handed
+// to the backend — the barrier the cached engine runs at the end of every
+// fan-out, so its writes are durable and visible to other processes before
+// the engine returns. Failures are counted, not returned (see Buffer).
+func (s *Store) Flush() {
+	if s == nil || s.be == nil {
+		return
+	}
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	s.pendMu.Lock()
+	pending := s.pending
+	s.pending = nil
+	s.pendMu.Unlock()
+	s.write(pending)
+}
+
+// admit makes every result entry LRU-resident and counts it as a put;
+// trace entries are neither (see TracePrefix).
+func (s *Store) admit(entries []Entry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, e := range entries {
-		if IsTraceKey(e.Key) {
-			traces++
-			traceBytes += int64(len(e.Val))
-		} else {
-			s.putResident(e.Key, e.Val)
+		if !IsTraceKey(e.Key) {
+			s.lru.put(e.Key, e.Val)
+			s.puts.Add(1)
 		}
 	}
-	if s.flushEntries(entries) == 0 && s.be != nil {
-		s.blobStored.Add(traces)
-		s.blobBytes.Add(traceBytes)
-	}
 }
 
-// putResident is the write both result paths share — the synchronous
-// PutBatch above and the buffered WriteBuffer.Put: the value becomes
-// LRU-resident (warm for in-process reads) and counted, durability handled
-// by the caller.
-func (s *Store) putResident(key string, val []byte) {
-	s.mu.Lock()
-	s.lru.put(key, val)
-	s.mu.Unlock()
-	s.puts.Add(1)
-}
-
-// flushEntries pushes entries to the backend in one batch and returns how
-// many landed nowhere. Each such entry counts one PutError (composite
-// backends report placement exactly — an entry a Tiered near tier absorbed
-// is durable, not a put error); lost results remain served from the LRU
-// tier, the memory-only degradation of a failed write.
-func (s *Store) flushEntries(entries []Entry) (lost int) {
-	if len(entries) == 0 || s.be == nil {
-		return 0
+// write pushes entries to the backend in batchChunk-sized batches. Each
+// entry a batch lost counts one PutError (composite backends report
+// placement exactly — an entry a Tiered near tier absorbed is durable, not
+// a put error); a batch that landed whole counts its traces as stored.
+func (s *Store) write(entries []Entry) {
+	if s.be == nil {
+		return
 	}
-	if _, lost, _ = s.be.PutBatch(entries); lost > 0 { //repro:degrade counted: every entry that landed nowhere becomes a PutError
-		s.putErrors.Add(int64(lost))
-	}
-	return lost
+	chunks(entries, func(chunk []Entry) bool {
+		if _, lost, _ := s.be.PutBatch(chunk); lost > 0 { //repro:degrade counted: every entry that landed nowhere becomes a PutError
+			s.putErrors.Add(int64(lost))
+			return true
+		}
+		for _, e := range chunk {
+			if IsTraceKey(e.Key) {
+				s.blobStored.Add(1)
+				s.blobBytes.Add(int64(len(e.Val)))
+			}
+		}
+		return true
+	})
 }
 
 // Len returns the number of durable result entries (LRU-only for memory
 // stores). Traces are not results and are counted by TraceLen.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	if s.be != nil {
-		return s.be.Stats().Len
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lru.len()
-}
+func (s *Store) Len() int { return s.Stats().Len }
 
 // Keys returns the backend's live key set (traces included) when it is
 // cheap to enumerate, nil otherwise. The migrator uses it to find a
@@ -438,15 +480,21 @@ func (s *Store) Stats() Stats {
 		bs := s.be.Stats()
 		st.Superseded += bs.Superseded
 		st.Degraded += bs.Degraded
+		st.Len = bs.Len
+	} else {
+		s.mu.Lock()
+		st.Len = s.lru.len()
+		s.mu.Unlock()
 	}
 	return st
 }
 
-// Close closes the backend, if any.
+// Close flushes the buffered writes and closes the backend, if any.
 func (s *Store) Close() error {
 	if s == nil || s.be == nil {
 		return nil
 	}
+	s.Flush()
 	return s.be.Close()
 }
 
@@ -559,13 +607,12 @@ func GetJSON[T any](s *Store, key string) (T, bool) {
 	return v, true
 }
 
-// PutJSON encodes v and stores it under key through any write surface — a
-// Store for synchronous per-key writes, a WriteBuffer for batched ones.
-// Unencodable values are dropped (the job simply stays uncached).
-func PutJSON[T any](p Putter, key string, v T) {
+// PutJSON encodes v and stores it under key. Unencodable values are
+// dropped (the job simply stays uncached).
+func PutJSON[T any](s *Store, key string, v T) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
-	p.Put(key, b)
+	s.Put(key, b)
 }

@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 )
@@ -28,19 +30,25 @@ const TracePrefix = "trace:"
 // IsTraceKey reports whether key lies in the trace namespace.
 func IsTraceKey(key string) bool { return strings.HasPrefix(key, TracePrefix) }
 
-// PutTrace stores a trace payload for the unit under unitKey. Failures are
-// counted put errors, never surfaced: losing a capture only costs a future
-// replay a re-simulation.
-func (s *Store) PutTrace(unitKey string, payload []byte) {
-	if s == nil || s.be == nil || unitKey == "" {
-		return
-	}
+// TraceEntry encodes a trace payload as the entry that stores it for the
+// unit under unitKey — a pure function of its arguments, so a capture can
+// ride the same batch as the unit's result.
+func TraceEntry(unitKey string, payload []byte) Entry {
 	var gz bytes.Buffer
 	zw := gzip.NewWriter(&gz)
 	zw.Write(payload)                  //repro:degrade bytes.Buffer writes cannot fail
 	zw.Close()                         //repro:degrade bytes.Buffer writes cannot fail
 	val, _ := json.Marshal(gz.Bytes()) //repro:degrade a byte slice always marshals (to a base64 JSON string)
-	s.Put(TracePrefix+unitKey, val)
+	return Entry{Key: TracePrefix + unitKey, Val: val}
+}
+
+// PutTrace stores a trace payload for the unit under unitKey. Failures are
+// counted put errors, never surfaced: losing a capture only costs a future
+// replay a re-simulation.
+func (s *Store) PutTrace(unitKey string, payload []byte) {
+	if s != nil && s.be != nil && unitKey != "" {
+		s.PutBatch([]Entry{TraceEntry(unitKey, payload)})
+	}
 }
 
 // GetTrace returns the trace payload captured for the unit under unitKey.
@@ -62,19 +70,39 @@ func (s *Store) GetTrace(unitKey string) ([]byte, bool) {
 	return payload, true
 }
 
-// decodeTrace inverts PutTrace's encoding.
+// maxTracePayload caps a trace's inflated size, so a hostile stored value
+// cannot make a replay allocate without bound: a value may be 64 MiB under
+// the wire's per-record cap and gzip inflates up to ~1000×. The cap is
+// twice the largest capture experimentd's default -max-n admits (dijkstra,
+// n=256, random scheduler: a 62 MiB record). A larger trace reads as a
+// corrupt miss, which costs its replay one re-simulation.
+const maxTracePayload = 128 << 20
+
+var errTraceTooLarge = fmt.Errorf("store: trace inflates past %d bytes", maxTracePayload)
+
+// decodeTrace inverts TraceEntry's encoding; a payload that inflates past
+// maxTracePayload is an error.
 func decodeTrace(val []byte) ([]byte, error) {
 	var gz []byte
 	if err := json.Unmarshal(val, &gz); err != nil {
 		return nil, err
 	}
+	// A gzip stream ends in ISIZE, its inflated length mod 2^32: an honest
+	// oversized value is refused before a byte of it is inflated, and the
+	// LimitReader bounds one whose trailer lies.
+	if len(gz) >= 4 && binary.LittleEndian.Uint32(gz[len(gz)-4:]) > maxTracePayload {
+		return nil, errTraceTooLarge
+	}
 	zr, err := gzip.NewReader(bytes.NewReader(gz))
 	if err != nil {
 		return nil, err
 	}
-	payload, err := io.ReadAll(zr)
+	payload, err := io.ReadAll(io.LimitReader(zr, maxTracePayload+1))
 	if cerr := zr.Close(); err == nil {
 		err = cerr
+	}
+	if err == nil && len(payload) > maxTracePayload {
+		err = errTraceTooLarge
 	}
 	return payload, err
 }

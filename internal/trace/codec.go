@@ -18,7 +18,7 @@ import (
 // machine.Replayer, never a scheduler.
 //
 // The encoding is a compact varint framing, deliberately uncompressed:
-// the store compresses at its edge (Store.PutTrace gzips a trace before
+// the store compresses at its edge (store.TraceEntry gzips a trace before
 // storing it as an ordinary value), so the codec stays a pure,
 // deterministic function of the record — identical records encode to identical bytes in every
 // process, which is what lets CI compare replayed artifacts with cmp.
@@ -163,8 +163,12 @@ func DecodeRecord(b []byte) (Record, error) {
 	if r.err != nil {
 		return rec, r.err
 	}
-	if rec.N <= 0 || steps > maxRecordSteps {
-		return rec, fmt.Errorf("trace: implausible record header (n=%d, steps=%d)", rec.N, steps)
+	// Every step encodes to at least two bytes (process varint + flag
+	// byte), so a count the remaining bytes cannot hold is rejected before
+	// it sizes an allocation: decoding allocates in proportion to the bytes
+	// received, never to the count a header claims.
+	if rec.N <= 0 || steps > maxRecordSteps || steps > uint64(len(r.buf))/2 {
+		return rec, fmt.Errorf("trace: implausible record header (n=%d, steps=%d, %d bytes left)", rec.N, steps, len(r.buf))
 	}
 	rec.Exec = make(model.Execution, 0, steps)
 	rec.Changed = make([]bool, 0, steps)
@@ -173,6 +177,9 @@ func DecodeRecord(b []byte) (Record, error) {
 		fb := r.bytes(1)
 		if r.err != nil {
 			return rec, r.err
+		}
+		if proc >= uint64(rec.N) {
+			return rec, fmt.Errorf("trace: step %d: process %d out of range [0,%d)", t, proc, rec.N)
 		}
 		flags := fb[0]
 		s := model.Step{
@@ -196,9 +203,6 @@ func DecodeRecord(b []byte) (Record, error) {
 		}
 		if r.err != nil {
 			return rec, r.err
-		}
-		if s.Proc >= rec.N {
-			return rec, fmt.Errorf("trace: step %d: process %d out of range [0,%d)", t, s.Proc, rec.N)
 		}
 		rec.Exec = append(rec.Exec, s)
 		rec.Changed = append(rec.Changed, flags&(1<<2) != 0)
